@@ -8,8 +8,10 @@ time the corresponding work executes, with the per-execution values
 (effective addresses, branch outcomes, indirect-jump targets) patched in.
 
 This block-copy design is what makes whole-benchmark native traces
-tractable in Python: the inner loop of trace generation is a handful of
-numpy slice assignments per bytecode instead of per native instruction.
+tractable in Python: an emission costs a sink a few list operations per
+bytecode, independent of the template's length, and the recording sink
+expands its log of emitted templates into trace columns in one
+vectorised pass (see :mod:`repro.native.trace`).
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ class Template:
 
     Attributes are parallel numpy arrays of length :attr:`n`; the
     ``patch_*`` arrays hold the row indices whose corresponding field is
-    filled in per emission, in the order the builder declared them.
+    filled in per emission, in the order the builder declared them, and
+    ``n_ea``, ``n_taken`` and ``n_target`` are their lengths: the number
+    of values each emission must supply.
     """
 
     __slots__ = (
@@ -55,6 +59,9 @@ class Template:
         "patch_ea",
         "patch_taken",
         "patch_target",
+        "n_ea",
+        "n_taken",
+        "n_target",
         "cycles",
         "cat_counts",
     )
@@ -87,6 +94,9 @@ class Template:
         self.patch_ea = patch_ea
         self.patch_taken = patch_taken
         self.patch_target = patch_target
+        self.n_ea = len(patch_ea)
+        self.n_taken = len(patch_taken)
+        self.n_target = len(patch_target)
         self.cycles = int(CYCLES_BY_CAT[cat].sum())
         self.cat_counts = np.bincount(cat, minlength=N_CATEGORIES).astype(np.int64)
 

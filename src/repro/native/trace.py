@@ -1,16 +1,27 @@
 """Native trace recording and archives.
 
-The runtime emits native instruction events through a *sink*.  Two sinks
-exist: :class:`CountingSink` only accumulates cycle and category counts
-(cheap; used for the timing studies of Section 3), and
-:class:`RecordingSink` additionally records the full event stream into a
-columnar :class:`Trace` archive that the cache / branch / pipeline
-simulators replay (the Shade-trace equivalent).
+The runtime emits native instruction events through a *sink*, one
+:class:`~repro.native.template.Template` per emission.  Two sinks exist:
+:class:`CountingSink` only accumulates cycle and category counts (cheap;
+used for the timing studies of Section 3), and :class:`RecordingSink`
+additionally records the full event stream into a columnar
+:class:`Trace` archive that the cache / branch / pipeline simulators
+replay (the Shade-trace equivalent).
+
+Neither sink does numpy work per emission.  Both keep ``cycles`` current
+(the VM reads it mid-run as its clock) and defer everything else: the
+counting sink tallies emissions per template and derives instruction,
+translate-cycle and category totals from the tally when they are read;
+the recording sink logs each emitted template and appends its patch
+values to three flat lists, and :meth:`RecordingSink.trace` expands the
+log into columns in one vectorised gather plus one scatter per patched
+field.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -186,86 +197,142 @@ class CountingSink:
 
     Also tracks the same totals split by the *translate* flag so that
     Section 3's translate-vs-execute accounting works without a full
-    trace.
+    trace.  Only :attr:`cycles` is kept eagerly; :attr:`instructions`,
+    :attr:`translate_cycles` and :attr:`cat_counts` are computed from
+    the per-template emission tally when read.
     """
 
     records = False
 
     def __init__(self) -> None:
         self.cycles = 0
-        self.translate_cycles = 0
-        self.cat_counts = np.zeros(N_CATEGORIES, dtype=np.int64)
-        self.instructions = 0
+        self._emitted: dict[Template, int] = {}
 
     def emit(self, template: Template, eas=(), takens=(), targets=()) -> None:
         self.cycles += template.cycles
-        self.instructions += template.n
-        self.cat_counts += template.cat_counts
-        if template.n and (template.flags[0] & FLAG_TRANSLATE):
-            self.translate_cycles += template.cycles
+        emitted = self._emitted
+        emitted[template] = emitted.get(template, 0) + 1
 
     def emit_cycles(self, cycles: int) -> None:
         """Charge raw cycles with no instruction stream (lock spins etc.)."""
         self.cycles += cycles
 
+    def _tally(self) -> dict[Template, int]:
+        """Emissions so far, per distinct template."""
+        return self._emitted
+
+    @property
+    def instructions(self) -> int:
+        return sum(t.n * k for t, k in self._tally().items())
+
+    @property
+    def translate_cycles(self) -> int:
+        return sum(
+            t.cycles * k
+            for t, k in self._tally().items()
+            if t.n and (t.flags[0] & FLAG_TRANSLATE)
+        )
+
+    @property
+    def cat_counts(self) -> np.ndarray:
+        counts = np.zeros(N_CATEGORIES, dtype=np.int64)
+        for t, k in self._tally().items():
+            counts += t.cat_counts * k
+        return counts
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + l)`` for each ``(s, l)`` pair."""
+    total = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Start of each block when blocks of ``lengths`` are laid end to end."""
+    return np.cumsum(lengths) - lengths
+
 
 class RecordingSink(CountingSink):
-    """Counts *and* records the full native event stream."""
+    """Counts *and* records the full native event stream.
+
+    ``emit`` only logs: the template, and its ea, taken and target patch
+    values extended onto three flat lists.  :meth:`trace` materialises
+    the columns from the log.
+    """
 
     records = True
 
-    def __init__(self, initial_capacity: int = 1 << 16) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._cap = max(int(initial_capacity), 16)
-        self._n = 0
-        self._cols = {
-            c: np.zeros(self._cap, dtype=_DTYPES[c]) for c in _COLUMNS
-        }
-
-    def _ensure(self, extra: int) -> None:
-        need = self._n + extra
-        if need <= self._cap:
-            return
-        new_cap = self._cap
-        while new_cap < need:
-            new_cap *= 2
-        for c in _COLUMNS:
-            grown = np.zeros(new_cap, dtype=_DTYPES[c])
-            grown[: self._n] = self._cols[c][: self._n]
-            self._cols[c] = grown
-        self._cap = new_cap
+        self._emitted = Counter()
+        self._tallied = 0
+        self._log: list[Template] = []
+        self._eas: list[int] = []
+        self._takens: list = []
+        self._targets: list[int] = []
 
     def emit(self, template: Template, eas=(), takens=(), targets=()) -> None:
-        super().emit(template, eas, takens, targets)
-        n = template.n
-        if n == 0:
-            return
-        self._ensure(n)
-        s = self._n
-        cols = self._cols
-        cols["pc"][s : s + n] = template.pc
-        cols["cat"][s : s + n] = template.cat
-        cols["ea"][s : s + n] = template.ea
-        cols["flags"][s : s + n] = template.flags
-        cols["target"][s : s + n] = template.target
-        cols["dst"][s : s + n] = template.dst
-        cols["src1"][s : s + n] = template.src1
-        cols["src2"][s : s + n] = template.src2
-        if len(template.patch_ea):
-            cols["ea"][s + template.patch_ea] = eas
-        if len(template.patch_taken):
-            rows = s + template.patch_taken
-            taken_bits = np.asarray(takens, dtype=np.int16) * FLAG_TAKEN
-            cols["flags"][rows] = (cols["flags"][rows] & ~FLAG_TAKEN) | taken_bits
-        if len(template.patch_target):
-            cols["target"][s + template.patch_target] = targets
-        self._n += n
+        if (len(eas) != template.n_ea or len(takens) != template.n_taken
+                or len(targets) != template.n_target):
+            raise ValueError(
+                f"{template.name}: {len(eas)}/{len(takens)}/{len(targets)} "
+                f"ea/taken/target values for {template.n_ea}/"
+                f"{template.n_taken}/{template.n_target} patch slots"
+            )
+        self.cycles += template.cycles
+        self._log.append(template)
+        self._eas.extend(eas)
+        self._takens.extend(takens)
+        self._targets.extend(targets)
+
+    def _tally(self) -> dict[Template, int]:
+        log = self._log
+        if self._tallied != len(log):
+            self._emitted.update(log[self._tallied:])
+            self._tallied = len(log)
+        return self._emitted
 
     def trace(self) -> Trace:
-        """Freeze the recorded stream into a :class:`Trace`."""
-        return Trace(
-            **{c: self._cols[c][: self._n].copy() for c in _COLUMNS}
-        )
+        """Freeze the recorded stream into a :class:`Trace`.
 
-    def __len__(self) -> int:
-        return self._n
+        One gather copies every emission's rows out of a table that
+        concatenates the distinct templates; three scatters then write
+        the logged patch values into their rows.
+        """
+        log = self._log
+        if not log:
+            return Trace.empty()
+        distinct = list(dict.fromkeys(log))
+        index = {t: i for i, t in enumerate(distinct)}
+        which = np.fromiter(map(index.__getitem__, log), dtype=np.intp,
+                            count=len(log))
+        sizes = np.array([t.n for t in distinct], dtype=np.intp)
+        emitted_sizes = sizes[which]
+        first_row = _offsets(emitted_sizes)
+        table_rows = _ranges(_offsets(sizes)[which], emitted_sizes)
+        cols = {
+            c: np.concatenate([getattr(t, c) for t in distinct])
+            .astype(_DTYPES[c], copy=False)[table_rows]
+            for c in _COLUMNS
+        }
+
+        def patched_rows(field: str, count: str) -> np.ndarray:
+            """Trace rows of every emission's ``field`` patch slots, in
+            the order the emissions logged their values."""
+            counts = np.array([getattr(t, count) for t in distinct],
+                              dtype=np.intp)
+            table = np.concatenate([getattr(t, field) for t in distinct])
+            emitted_counts = counts[which]
+            picked = table[_ranges(_offsets(counts)[which], emitted_counts)]
+            return np.repeat(first_row, emitted_counts) + picked
+
+        cols["ea"][patched_rows("patch_ea", "n_ea")] = np.asarray(
+            self._eas, dtype=np.int64)
+        taken_rows = patched_rows("patch_taken", "n_taken")
+        taken_bits = np.asarray(self._takens, dtype=np.int16) * FLAG_TAKEN
+        cols["flags"][taken_rows] = (
+            (cols["flags"][taken_rows] & ~FLAG_TAKEN) | taken_bits)
+        cols["target"][patched_rows("patch_target", "n_target")] = np.asarray(
+            self._targets, dtype=np.int64)
+        return Trace(**cols)

@@ -13,6 +13,8 @@ static state from ``main`` (documented in DESIGN.md).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..isa.method import JClass, Method, Program
 from ..isa.pool import ClassRef, FieldRef, MethodRef
 from ..native.layout import (
@@ -44,10 +46,14 @@ class ClassLoadError(Exception):
 class ClassLoader:
     """Loads classes out of a :class:`Program` into a running VM."""
 
-    def __init__(self, program: Program, stubs: RuntimeStubs, sink) -> None:
+    def __init__(self, program: Program, stubs: RuntimeStubs, sink,
+                 charge_overhead: Callable[[int], None]) -> None:
         self.program = program
         self.stubs = stubs
         self.sink = sink
+        #: Called with the cycles of every load and resolution, which
+        #: the VM keeps out of per-method attribution.
+        self.charge_overhead = charge_overhead
         self._meta_cursor = VM_DATA_BASE + _METADATA_START
         self._static_cursor = STATICS_BASE
         self._bytecode_cursor = BYTECODE_BASE
@@ -58,7 +64,6 @@ class ClassLoader:
         self.metadata_bytes = 0
         self.bytecode_bytes = 0
         self.resolution_count = 0
-        self.overhead_cycles = 0   # loader/resolver cycles charged to trace
         self.methods_by_id: list[Method] = []
         #: Optional callback invoked after each class finishes loading
         #: (the tiered controller hooks this to invalidate loaded-world
@@ -83,7 +88,7 @@ class ClassLoader:
         self._layout(cls)
         before = self.sink.cycles
         self._emit_load_trace(cls)
-        self.overhead_cycles += self.sink.cycles - before
+        self.charge_overhead(self.sink.cycles - before)
         self.classes_loaded += 1
         if self.on_load is not None:
             self.on_load(cls)
@@ -219,7 +224,7 @@ class ClassLoader:
             self.stubs.emit_resolve(
                 self.sink, self.pool_ea(cls, index), target.meta_addr
             )
-            self.overhead_cycles += self.stubs.resolve.cycles
+            self.charge_overhead(self.stubs.resolve.cycles)
         return entry.resolved
 
     def resolve_field(self, cls: JClass, index: int):
@@ -243,7 +248,7 @@ class ClassLoader:
             self.stubs.emit_resolve(
                 self.sink, self.pool_ea(cls, index), declarer.meta_addr
             )
-            self.overhead_cycles += self.stubs.resolve.cycles
+            self.charge_overhead(self.stubs.resolve.cycles)
         return entry.resolved
 
     def resolve_method(self, cls: JClass, index: int) -> Method:
@@ -262,5 +267,5 @@ class ClassLoader:
             self.stubs.emit_resolve(
                 self.sink, self.pool_ea(cls, index), owner.meta_addr
             )
-            self.overhead_cycles += self.stubs.resolve.cycles
+            self.charge_overhead(self.stubs.resolve.cycles)
         return entry.resolved

@@ -135,7 +135,11 @@ class JavaVM:
         if folding:
             from .folding import FoldingSink
             self.sink = FoldingSink(self.sink, self.templates)
-        self.loader = ClassLoader(program, self.stubs, self.sink)
+        #: Cycles of translation and class loading/resolution: charged to
+        #: the trace but excluded from per-method attribution.
+        self.overhead_cycles = 0
+        self.loader = ClassLoader(program, self.stubs, self.sink,
+                                  self._charge_overhead)
         self.heap = Heap(limit_bytes=heap_limit)
         self.heap.root_provider = self._gc_roots
         self.lock_manager = lock_manager or MonitorCacheLockManager()
@@ -203,16 +207,14 @@ class JavaVM:
         # scan over self.threads scales O(threads) per call.
         self._thread_by_obj: dict[JObject, JThread] = {}
         self._compiled: dict[int, object] = {}   # method_id -> CompiledMethod
-        self._translate_overhead = 0
         self._booted = False
         self._finished = False
 
     # ------------------------------------------------------------------
     # overhead accounting (excluded from per-method attribution)
     # ------------------------------------------------------------------
-    @property
-    def overhead_cycles(self) -> int:
-        return self._translate_overhead + self.loader.overhead_cycles
+    def _charge_overhead(self, cycles: int) -> None:
+        self.overhead_cycles += cycles
 
     # ------------------------------------------------------------------
     # boot and scheduling
@@ -406,7 +408,7 @@ class JavaVM:
         strategy-compile path, the tiered promotion path, and the
         archive-install path all account here, so the Figure 1
         translate/execute split cannot drift between modes."""
-        self._translate_overhead += compiled.translate_cycles
+        self.overhead_cycles += compiled.translate_cycles
         if self.profiler:
             self.profiler.note_translate(method, compiled.translate_cycles,
                                          installed=compiled.from_archive)

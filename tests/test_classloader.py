@@ -157,5 +157,6 @@ class TestResolution:
     def test_resolution_charged_as_overhead(self):
         vm = _vm()
         vm.run()
-        assert vm.loader.overhead_cycles > 0
-        assert vm.loader.overhead_cycles < vm.sink.cycles
+        # Interpret-only: the loader is the only source of overhead.
+        assert vm.overhead_cycles > 0
+        assert vm.overhead_cycles < vm.sink.cycles
