@@ -10,7 +10,10 @@ consumers of the same (workload, scale, mode) share one decode.
 The simulators accept a ``TraceReplay`` wherever they accept a
 ``Trace`` (duck-typed: ``simulate_split_l1`` uses the cached streams,
 ``extract_transfers``/``compare_predictors`` use ``transfers()`` /
-``branch_context()``, ``simulate_pipeline`` unwraps ``.trace``).
+``branch_context()``; the vector ``simulate_pipeline``/``ipc_by_width``
+use ``memory_mask()``, ``data_stream()`` and ``branch_context()``, whose
+memoized RAS replay and gshare directions they share with Table 2; the
+scalar oracle unwraps ``.trace``).
 """
 
 from __future__ import annotations

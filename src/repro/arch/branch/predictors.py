@@ -372,17 +372,15 @@ def compare_predictors(trace, names=("2bit", "bht", "gshare", "gap"),
     """Misprediction results for several predictors over one trace.
 
     Under the vector kernel all predictors share one replay context
-    (masks, BTB resolution, RAS replay are computed once).
+    (masks, BTB resolution, RAS replay and each predictor's directions
+    are computed once per context).
     """
     if active_kernel(kernel) == "vector":
         from .vector import BranchReplayContext, run_with_context
         context = getattr(trace, "branch_context", None)
         ctx = (context() if context is not None
                else BranchReplayContext(*extract_transfers(trace)))
-        return {
-            name: run_with_context(PREDICTORS[name](), ctx)
-            for name in names
-        }
+        return {name: run_with_context(name, ctx) for name in names}
     events = extract_transfers(trace)
     return {
         name: run_predictor(PREDICTORS[name](), *events, kernel="scalar")

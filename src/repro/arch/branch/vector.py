@@ -111,6 +111,7 @@ class BranchReplayContext:
             self.btb_correct[pos] = hit
 
         self._ras_memo: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
+        self._direction_memo: dict[str, np.ndarray] = {}
 
     def ras_outcome(self, trim_call: bool):
         """Memoized RAS replay (``(used, popped)`` over RET events)."""
@@ -120,10 +121,24 @@ class BranchReplayContext:
             self._ras_memo[trim_call] = hit
         return hit
 
+    def direction(self, name: str) -> np.ndarray:
+        """Memoized directions a fresh ``PREDICTORS[name]`` predicts
+        for the conditional branches (Table 2 and the pipeline model
+        both run gshare over the same stream)."""
+        hit = self._direction_memo.get(name)
+        if hit is None:
+            from .predictors import PREDICTORS
+            hit = PREDICTORS[name]().predict_batch(self.cond_pc,
+                                                   self.cond_taken)
+            self._direction_memo[name] = hit
+        return hit
+
 
 def run_with_context(predictor, ctx: BranchReplayContext):
     """Drive one direction predictor over a shared replay context.
 
+    ``predictor`` is a predictor instance, or the name of a default
+    one, whose directions then come from the context's memo.
     Bit-identical to the scalar ``run_predictor`` loop.
     """
     from .predictors import BranchSimResult
@@ -135,7 +150,10 @@ def run_with_context(predictor, ctx: BranchReplayContext):
     if ctx.n == 0:
         return result
 
-    predicted = predictor.predict_batch(ctx.cond_pc, ctx.cond_taken)
+    if isinstance(predictor, str):
+        predicted = ctx.direction(predictor)
+    else:
+        predicted = predictor.predict_batch(ctx.cond_pc, ctx.cond_taken)
     wrong_dir = predicted != ctx.cond_taken
     result.cond_mispredicts = int(wrong_dir.sum())
     # Right-direction taken branches still need the target from the BTB.

@@ -12,6 +12,7 @@ simulator instance.
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from repro.arch.branch.predictors import (
 )
 from repro.arch.caches import CacheConfig, CacheSim
 from repro.arch.kernels import ENV_VAR, active_kernel
-from repro.arch.pipeline import PipelineConfig, simulate_pipeline
+from repro.arch.pipeline import PipelineConfig, ipc_by_width, simulate_pipeline
+from repro.arch.pipeline import superscalar
 from repro.native.nisa import FLAG_TAKEN, FLAG_WRITE, NCat
 from repro.native.trace import Trace
 
@@ -218,22 +220,30 @@ _PIPE_CATS = tuple(int(c) for c in (
     NCat.BRANCH, NCat.JUMP, NCat.IJUMP, NCat.CALL, NCat.ICALL, NCat.RET,
 ))
 
-pipe_events = st.lists(
-    st.tuples(
-        st.sampled_from(_PIPE_CATS),
-        st.integers(0, 255),      # ea pool (scaled below)
-        st.booleans(),            # taken
-        st.integers(0, 63),       # target pool
-        st.integers(-1, 15),      # dst
-        st.integers(-1, 15),      # src1
-        st.integers(-1, 15),      # src2
-    ),
-    min_size=0, max_size=250,
-)
+
+def _pipe_events(cats):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(cats),
+            st.integers(0, 255),      # ea pool (scaled below)
+            st.booleans(),            # taken
+            st.integers(0, 63),       # target pool
+            st.integers(-1, 15),      # dst
+            st.integers(-1, 15),      # src1
+            st.integers(-1, 15),      # src2
+        ),
+        min_size=0, max_size=250,
+    )
+
+
+pipe_events = _pipe_events(_PIPE_CATS)
+# Divides keep a register busy for 20 cycles, long enough to carry
+# state across a short lane.
+lane_events = _pipe_events(_PIPE_CATS + (int(NCat.IDIV),))
 
 pipe_configs = st.builds(
     PipelineConfig,
-    width=st.sampled_from([1, 2, 4]),
+    width=st.sampled_from([1, 2, 4, 8]),
     rob_size=st.sampled_from([8, 32]),
     mispredict_penalty=st.sampled_from([2, 4]),
     icache_size=st.sampled_from([1024, 4096]),
@@ -263,6 +273,55 @@ def _build_trace(events) -> Trace:
                               target=target, dst=dst, src1=src1, src2=src2)
 
 
+# Small ROBs, so a cut-down lane length puts several lanes in one
+# stream, and zero penalties, whose fetch-group restarts add no cycles.
+lane_configs = st.builds(
+    PipelineConfig,
+    width=st.sampled_from([1, 2, 4, 8]),
+    rob_size=st.sampled_from([4, 8, 12]),
+    mispredict_penalty=st.sampled_from([0, 4]),
+    imiss_penalty=st.sampled_from([0, 8]),
+    dmiss_penalty=st.sampled_from([0, 8]),
+    icache_size=st.sampled_from([1024, 4096]),
+    block=st.sampled_from([16, 32]),
+    icache_assoc=st.sampled_from([1, 2]),
+)
+
+
+def _assert_pipeline_equal(s, v, context=""):
+    for field in ("instructions", "cycles", "mispredicts",
+                  "imisses", "dmisses"):
+        assert getattr(s, field) == getattr(v, field), (
+            f"PipelineResult.{field} diverges{context}: "
+            f"{getattr(s, field)} != {getattr(v, field)}"
+        )
+
+
+def _random_events(n, seed):
+    """A long stream in the ``pipe_events`` shape, with divides."""
+    rng = np.random.default_rng(seed)
+    cats = np.asarray(_PIPE_CATS + (int(NCat.IDIV),))
+    return list(zip(rng.choice(cats, n).tolist(),
+                    rng.integers(0, 256, n).tolist(),
+                    rng.integers(0, 2, n).astype(bool).tolist(),
+                    rng.integers(0, 64, n).tolist(),
+                    *(rng.integers(-1, 16, n).tolist() for _ in range(3))))
+
+
+def _lane_passes(trace, config) -> int:
+    """Scheduler passes the vector kernel ran over ``trace``."""
+    from repro.obs.tracer import TRACER
+
+    TRACER.reset()
+    TRACER.enable()
+    try:
+        simulate_pipeline(trace, config, kernel="vector")
+        return TRACER.counters["pipeline.lane_passes"]
+    finally:
+        TRACER.disable()
+        TRACER.reset()
+
+
 class TestPipelineParity:
     @RELAXED
     @given(events=pipe_events, config=pipe_configs)
@@ -270,12 +329,82 @@ class TestPipelineParity:
         trace = _build_trace(events)
         s = simulate_pipeline(trace, config, kernel="scalar")
         v = simulate_pipeline(trace, config, kernel="vector")
-        for field in ("instructions", "cycles", "mispredicts",
-                      "imisses", "dmisses"):
-            assert getattr(s, field) == getattr(v, field), (
-                f"PipelineResult.{field} diverges: "
-                f"{getattr(s, field)} != {getattr(v, field)}"
-            )
+        _assert_pipeline_equal(s, v)
+
+    @RELAXED
+    @given(events=lane_events, config=lane_configs,
+           lane_rows=st.sampled_from([1, 8, 24]),
+           verify_rows=st.sampled_from([1, 3, 64]))
+    def test_several_lanes(self, events, config, lane_rows, verify_rows):
+        # A one-row verification window fails often, so the fixpoint
+        # fallback runs as well as the verified two-pass path.
+        trace = _build_trace(events)
+        s = simulate_pipeline(trace, config, kernel="scalar")
+        with mock.patch.object(superscalar, "_LANE_ROWS", lane_rows), \
+                mock.patch.object(superscalar, "_VERIFY_ROWS", verify_rows):
+            v = simulate_pipeline(trace, config, kernel="vector")
+        _assert_pipeline_equal(s, v, f" (lane rows {lane_rows}, "
+                                     f"verify rows {verify_rows})")
+
+    def test_seeded_lane_sweep(self, monkeypatch):
+        # Divides and D-miss loads keep a lane's end state alive across
+        # short lanes, so some streams need several fixpoint passes.
+        monkeypatch.setattr(superscalar, "_LANE_ROWS", 8)
+        monkeypatch.setattr(superscalar, "_VERIFY_ROWS", 2)
+        most = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            trace = _build_trace(_random_events(int(rng.integers(20, 250)),
+                                                seed))
+            config = PipelineConfig(
+                width=int(rng.choice([1, 2, 4, 8])),
+                rob_size=int(rng.choice([4, 8])),
+                mispredict_penalty=int(rng.choice([0, 4])),
+                imiss_penalty=int(rng.choice([0, 8])),
+                icache_size=4096)
+            s = simulate_pipeline(trace, config, kernel="scalar")
+            v = simulate_pipeline(trace, config, kernel="vector")
+            _assert_pipeline_equal(s, v, f" (seed {seed})")
+            most = max(most, _lane_passes(trace, config))
+        assert most > 3
+
+    @pytest.mark.parametrize("rob_size", [48, 96])
+    def test_rob_size_not_dividing_lane_length(self, rob_size, monkeypatch):
+        # 256 % rob_size != 0: lanes round up to a ROB multiple, and the
+        # ragged last lane ends mid-lane.
+        assert superscalar._LANE_ROWS % rob_size
+        trace = _build_trace(_random_events(3001, seed=rob_size))
+        kwargs = {"rob_size": rob_size, "icache_size": 1024}
+        results = {}
+        for kernel in ("scalar", "vector"):
+            monkeypatch.setenv(ENV_VAR, kernel)
+            results[kernel] = ipc_by_width(trace, widths=(1, 8), **kwargs)
+        for w in (1, 8):
+            _assert_pipeline_equal(results["scalar"][w],
+                                   results["vector"][w], f" at width {w}")
+        assert _lane_passes(trace, PipelineConfig(**kwargs)) >= 2
+
+    def test_fallback_runs_and_stays_exact(self, monkeypatch):
+        # Each 64-row lane ends with a divide into r1 that row 8 of the
+        # next lane reads.  Started empty, a lane does not see the
+        # divide, so its state at row 4 differs from the state it has
+        # when started from its predecessor: the check fails and the
+        # fixpoint passes must recover the stall.
+        monkeypatch.setattr(superscalar, "_LANE_ROWS", 64)
+        monkeypatch.setattr(superscalar, "_VERIFY_ROWS", 4)
+        n = 64 * 6 + 20
+        row = np.arange(n) % 64
+        cat = np.where(row == 63, int(NCat.IDIV), int(NCat.IALU))
+        trace = Trace.from_columns(
+            pc=0x1000 + 4 * row, cat=cat, ea=np.zeros(n),
+            flags=np.zeros(n), target=np.zeros(n),
+            dst=np.where(row == 63, 1, -1), src1=np.where(row == 8, 1, -1),
+            src2=np.full(n, -1))
+        config = PipelineConfig(width=8)
+        s = simulate_pipeline(trace, config, kernel="scalar")
+        v = simulate_pipeline(trace, config, kernel="vector")
+        _assert_pipeline_equal(s, v)
+        assert _lane_passes(trace, config) > 2
 
 
 # -- kernel selection --------------------------------------------------
@@ -297,7 +426,7 @@ class TestKernelSelection:
 # -- whole experiments -------------------------------------------------
 
 class TestExperimentParity:
-    @pytest.mark.parametrize("exp_id", ["fig3", "table2"])
+    @pytest.mark.parametrize("exp_id", ["fig3", "table2", "fig9"])
     def test_experiment_identical_under_both_kernels(
             self, exp_id, tmp_path, monkeypatch):
         from repro.analysis.replay import clear_replay_memo
