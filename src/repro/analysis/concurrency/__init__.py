@@ -20,7 +20,7 @@ Four passes over a linked :class:`~repro.isa.method.Program`:
    ``RC005``).
 
 The ``safe``/``racy`` site sets feed the tiered JIT through
-:meth:`repro.vm.machine.JavaVM.concurrency_plan`, and the fuzz
+:class:`repro.vm.elision.ElisionPolicy`, and the fuzz
 cross-check (`repro.fuzz.crosscheck`) compares both against what the
 VM actually observes.
 """

@@ -5,144 +5,85 @@
 the full native trace.  Both are backed by a transparent on-disk cache
 (:mod:`repro.analysis.cache`): every experiment replays the same
 deterministic traces through different simulators, so recording each
-(workload, scale, mode, config) once pays off across the whole harness
+(workload, scale, config) once pays off across the whole harness
 — and across concurrent worker processes, which share one
 content-addressed store.
 
 Cache entries are addressed by a hash of the trace-affecting module
-sources plus the full job configuration; there is no version constant to
-bump.  Set ``REPRO_TRACE_CACHE=""`` (or pass ``cache_dir=""``) to
-disable caching; the environment variable is consulted at *call* time,
-so tests can redirect the cache per-test.
+sources plus every field of the :class:`~repro.vm.config.VMConfig`
+(``VMConfig.key()``); there is no version constant to bump.  Set
+``REPRO_TRACE_CACHE=""`` (or pass ``cache_dir=""``) to disable
+caching; the environment variable is consulted at *call* time, so tests
+can redirect the cache per-test.
 """
 
 from __future__ import annotations
 
 from ..native.trace import Trace
-from ..sync import LOCK_MANAGERS
-from ..vm.machine import JavaVM, VMResult
-from ..vm.strategy import (
-    CompileOnFirstUse,
-    CounterThreshold,
-    InterpretOnly,
-    OracleStrategy,
-    Strategy,
-    TieredStrategy,
-)
+from ..vm.codecache_archive import resolve_archive_dir
+from ..vm.config import VMConfig, resolve
+from ..vm.machine import VMResult
+from ..vm.strategy import Strategy
 from ..workloads.base import get_workload
 from . import cache
 from .hybrid import OracleAnalysis
 
-MODES = ("interp", "jit")
-
 
 def make_strategy(mode, oracle_set=None) -> Strategy:
-    """Strategy instance from a mode name."""
+    """Strategy instance from a registry name (a Strategy passes through)."""
     if isinstance(mode, Strategy):
         return mode
-    if mode == "interp":
-        return InterpretOnly()
-    if mode == "jit":
-        return CompileOnFirstUse()
-    if mode == "oracle":
-        return OracleStrategy(oracle_set or set())
-    if mode == "tiered":
-        return TieredStrategy()
-    if isinstance(mode, tuple) and mode[0] == "counter":
-        return CounterThreshold(mode[1])
-    if isinstance(mode, tuple) and mode[0] == "tiered":
-        t1, t2, osr = mode[1], mode[2], mode[3]
-        kwargs = {}
-        if len(mode) > 4:                       # optional compile_ratio
-            kwargs["compile_ratio"] = mode[4]
-        return TieredStrategy(t1_invocations=t1, t2_invocations=t2,
-                              osr_backedges=osr, t2_backedges=8 * osr,
-                              **kwargs)
-    raise ValueError(f"unknown mode {mode!r}")
+    return resolve(mode, compile_set=oracle_set or ()).make_strategy()
 
 
-def mode_token(mode) -> str | None:
-    """A stable string for a mode, or ``None`` when it cannot be keyed
-    (ad-hoc :class:`Strategy` instances are not content-addressable)."""
-    if isinstance(mode, str):
-        return mode
-    if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "counter":
-        return f"counter{int(mode[1])}"
-    if isinstance(mode, tuple) and mode[0] == "tiered" and len(mode) in (4, 5):
-        token = "tiered{}-{}-{}".format(*(int(v) for v in mode[1:4]))
-        if len(mode) == 5:
-            token += f"-r{float(mode[4]):g}"
-        return token
-    return None
+def _cache_path(kind: str, workload: str, scale: str, config: VMConfig,
+                cache_dir: str | None, archive_dir: str | None,
+                label: str | None = None):
+    """Where a ``run``/``trace`` entry lives; ``None`` when caching is
+    off or a code archive is in use (its warmth changes runs and traces
+    but is not part of the key)."""
+    resolved = None if archive_dir else cache.resolve_dir(cache_dir)
+    if not resolved:
+        return None
+    key = cache.cache_key(kind, workload=workload, scale=scale,
+                          config=config.key())
+    where = cache.trace_path if kind == "trace" else cache.run_path
+    return where(resolved, workload, scale, label or str(config), key)
 
 
 def run_vm(
     workload: str,
     scale: str = "s1",
-    mode="jit",
+    mode: str | VMConfig = "jit",
     record: bool = False,
-    lock_manager: str = "monitor-cache",
-    inline: bool = True,
-    profile: bool = True,
-    oracle_set: set | None = None,
-    folding: bool = False,
-    jit_opt: bool = False,
-    lock_elision: bool = False,
     cache_dir: str | None = None,
     code_archive: str | None = None,
+    **overrides,
 ) -> VMResult:
     """Build a fresh VM for the workload and run it to completion.
 
-    Non-recording runs with nameable modes are served from the
-    content-addressed result cache when one is configured
-    (``cache_dir=None`` resolves ``REPRO_TRACE_CACHE`` at call time;
-    pass ``""`` to force a fresh run).  Runs are deterministic, so a
-    cached result is byte-identical to a fresh one.
-
-    ``code_archive`` names a shared compiled-code archive directory
-    (``None`` resolves ``REPRO_CODE_ARCHIVE``; ``""`` disables).
-    Archive-enabled runs bypass the run-*result* cache: whether the
-    archive is warm changes the translate/install split a fresh run
-    reports, so serving a pickled cold result would misreport it.
+    ``mode`` is a :data:`~repro.vm.config.CONFIGS` name or a
+    :class:`~repro.vm.config.VMConfig`; keyword ``overrides`` replace
+    its fields (``run_vm(w, mode="jit", lock_manager="thin-lock")``).
+    Non-recording runs are served from the result cache when one is
+    configured (``cache_dir=None`` resolves ``REPRO_TRACE_CACHE`` at
+    call time; ``""`` forces a fresh run).  ``code_archive`` names a
+    shared compiled-code archive (``None`` resolves
+    ``REPRO_CODE_ARCHIVE``; ``""`` disables); archive runs are never
+    cached.
     """
-    from ..vm.codecache_archive import resolve_archive_dir
+    config = resolve(mode, **overrides)
     archive_dir = resolve_archive_dir(code_archive)
-    token = mode_token(mode)
-    resolved = (None if record or token is None or archive_dir
-                else cache.resolve_dir(cache_dir))
-    path = None
-    if resolved:
-        key = cache.cache_key(
-            "run",
-            workload=workload,
-            scale=scale,
-            mode=token,
-            lock_manager=lock_manager,
-            inline=inline,
-            profile=profile,
-            folding=folding,
-            jit_opt=jit_opt,
-            lock_elision=lock_elision,
-            oracle=sorted(oracle_set) if oracle_set else None,
-        )
-        path = cache.run_path(resolved, workload, scale, token, key)
+    path = (None if record else
+            _cache_path("run", workload, scale, config, cache_dir,
+                        archive_dir))
+    if path:
         cached = cache.load_run(path)
         if cached is not None:
             return cached
     program = get_workload(workload).build(scale)
-    vm = JavaVM(
-        program,
-        strategy=make_strategy(mode, oracle_set),
-        lock_manager=LOCK_MANAGERS[lock_manager](),
-        record=record,
-        inline=inline,
-        profile=profile,
-        folding=folding,
-        jit_opt=jit_opt,
-        lock_elision=lock_elision,
-        code_archive=archive_dir or "",
-    )
-    result = vm.run()
+    result = config.build(program, record=record,
+                          code_archive=archive_dir or "").run()
     if path:
         cache.store_run(path, result)
     return result
@@ -151,28 +92,29 @@ def run_vm(
 def get_trace(
     workload: str,
     scale: str = "s1",
-    mode: str = "jit",
+    mode: str | VMConfig = "jit",
     cache_dir: str | None = None,
+    **overrides,
 ) -> Trace:
-    """Full native trace for (workload, scale, mode), cached on disk.
+    """Full native trace for (workload, scale, config), cached on disk.
 
-    ``cache_dir=None`` resolves ``REPRO_TRACE_CACHE`` at call time;
-    pass ``""`` to disable the cache for this call.
+    ``mode`` and ``overrides`` are as for :func:`run_vm`; traces are
+    recorded with profiling off.  ``cache_dir=None`` resolves
+    ``REPRO_TRACE_CACHE`` at call time; pass ``""`` to disable the
+    cache for this call.  Like runs, traces recorded against a code
+    archive (``REPRO_CODE_ARCHIVE``) are never cached.
     """
-    resolved = cache.resolve_dir(cache_dir)
-    path = None
-    if resolved:
-        key = cache.cache_key("trace", workload=workload, scale=scale,
-                              mode=mode)
-        path = cache.trace_path(resolved, workload, scale, mode, key)
+    requested = resolve(mode, **overrides)
+    config = requested.replace(profile=False)
+    archive_dir = resolve_archive_dir(None)
+    path = _cache_path("trace", workload, scale, config, cache_dir,
+                       archive_dir, label=str(requested))
+    if path:
         trace = cache.load_trace(path)
         if trace is not None:
             return trace
-    folding = mode.endswith("-fold")
-    vm_mode = mode[:-5] if folding else mode
-    result = run_vm(workload, scale=scale, mode=vm_mode, record=True,
-                    profile=False, folding=folding)
-    trace = result.trace
+    trace = run_vm(workload, scale, config, record=True,
+                   code_archive=archive_dir or "").trace
     if path:
         cache.store_trace(path, trace)
     return trace
@@ -193,6 +135,6 @@ def oracle_run(workload: str, scale: str = "s1",
     """The opt analysis plus a *real* mixed-mode run enacting it."""
     analysis = oracle_analysis(workload, scale, cache_dir=cache_dir)
     mixed = run_vm(workload, scale=scale, mode="oracle",
-                   oracle_set=analysis.methods_to_compile,
+                   compile_set=analysis.methods_to_compile,
                    cache_dir=cache_dir)
     return analysis, mixed

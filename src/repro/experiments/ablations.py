@@ -29,7 +29,7 @@ def _strategy_jobs(scale: str = "s1", benchmarks=None) -> list:
     jobs = []
     for name in benchmarks or _STRATEGY_BENCHMARKS:
         jobs.append(oracle_job(name, scale))
-        jobs.extend(run_job(name, scale, ("counter", t))
+        jobs.extend(run_job(name, scale, "counter", threshold=t)
                     for t in _THRESHOLDS)
     return jobs
 
@@ -44,7 +44,8 @@ def run_strategy(scale: str = "s1", benchmarks=None) -> ExperimentResult:
         jit_total = analysis.jit_result.cycles
         row = [name, 1.0]
         for threshold in _THRESHOLDS:
-            res = run_vm(name, scale=scale, mode=("counter", threshold))
+            res = run_vm(name, scale=scale, mode="counter",
+                         threshold=threshold)
             row.append(round(res.cycles / jit_total, 3))
         row.append(round(analysis.interp_result.cycles / jit_total, 3))
         row.append(round(mixed.cycles / jit_total, 3))
@@ -341,7 +342,7 @@ _FOLDING_BENCHMARKS = ("compress", "jess", "mpegaudio")
 
 def _folding_jobs(scale: str = "s1", benchmarks=None) -> list:
     return trace_jobs(benchmarks or _FOLDING_BENCHMARKS, scale,
-                      modes=("interp", "interp-fold"))
+                      modes=("interp", "interp_fold"))
 
 
 @experiment("ablation_folding", jobs=_folding_jobs)
@@ -356,7 +357,7 @@ def run_folding(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     savings = []
     for name in benchmarks:
         base_trace = get_trace(name, scale, "interp")
-        fold_trace = get_trace(name, scale, "interp-fold")
+        fold_trace = get_trace(name, scale, "interp_fold")
         base_cycles = base_trace.base_cycles()
         fold_cycles = fold_trace.base_cycles()
         saving = 1 - fold_cycles / base_cycles

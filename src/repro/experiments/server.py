@@ -46,8 +46,15 @@ from ..traffic import get_preset, run_scenario
 from ..traffic.spec import ScenarioSpec
 from .base import ExperimentResult
 
-#: Config name -> (mode, archive role); order is the report order.
-CONFIGS = ("jit", "tiered", "tiered_cold", "tiered_warm")
+#: Report label -> registry config and whether it runs against the
+#: shared code archive; order is the report order.  ``tiered_cold``
+#: meets the archive empty and populates it, ``tiered_warm`` reuses it.
+LADDER = {
+    "jit": dict(config="jit", archive=False),
+    "tiered": dict(config="tiered", archive=False),
+    "tiered_cold": dict(config="tiered", archive=True),
+    "tiered_warm": dict(config="tiered", archive=True),
+}
 
 #: Steady-state detection defaults for traffic windows.  Cycle-domain
 #: samples are deterministic, so the threshold is tighter than the
@@ -63,20 +70,15 @@ def run_server(spec: ScenarioSpec, *, windows: int = 50,
     """Run the four-config ladder over ``spec``; JSON-ready record."""
     kw = dict(windows=windows, steady_window=steady_window,
               steady_cv=steady_cv)
-    configs = {}
-    configs["jit"] = run_scenario(spec, "jit", **kw).to_dict()
-    configs["tiered"] = run_scenario(spec, "tiered", **kw).to_dict()
-    if archive_dir is not None:
-        configs["tiered_cold"] = run_scenario(
-            spec, "tiered", code_archive=archive_dir, **kw).to_dict()
-        configs["tiered_warm"] = run_scenario(
-            spec, "tiered", code_archive=archive_dir, **kw).to_dict()
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-archive-") as d:
-            configs["tiered_cold"] = run_scenario(
-                spec, "tiered", code_archive=d, **kw).to_dict()
-            configs["tiered_warm"] = run_scenario(
-                spec, "tiered", code_archive=d, **kw).to_dict()
+    with tempfile.TemporaryDirectory(prefix="repro-archive-") as tmp:
+        archive = tmp if archive_dir is None else archive_dir
+        configs = {
+            label: run_scenario(
+                spec, rung["config"],
+                code_archive=archive if rung["archive"] else "",
+                **kw).to_dict()
+            for label, rung in LADDER.items()
+        }
     data = {
         "spec": spec.to_dict(),
         "steady_params": {"window": steady_window, "cv": steady_cv,
@@ -146,7 +148,7 @@ def run(scale: str = "s1", benchmarks=None) -> ExperimentResult:
     spec = get_preset("api").replace(requests=requests)
     data = run_server(spec)
     rows = []
-    for name in CONFIGS:
+    for name in LADDER:
         c = data["configs"][name]
         lat = c["latency_cycles"]["service"]
         rows.append([
@@ -191,7 +193,7 @@ def write_bench(path: str, spec: ScenarioSpec, *, windows: int = 50,
 
 
 def _print_summary(data: dict) -> None:
-    for name in CONFIGS:
+    for name in LADDER:
         c = data["configs"][name]
         lat = c["latency_cycles"]["service"]
         print(f"{name:>12}: cycles={c['cycles']} "

@@ -14,8 +14,9 @@ Two experiments plus a benchmark emitter:
 
 ``python -m repro.experiments.tiered --out BENCH_tiered.json`` runs
 both plus the deoptimization scenarios below and writes a
-machine-checkable summary (CI asserts the recovered fraction and that
-every tier transition — promotion, OSR entry, deopt — actually fired).
+machine-checkable summary; it exits nonzero when a named guard
+(:func:`evaluate_guards`) fails, and ``--check FILE`` re-evaluates the
+guards of an existing record.
 
 The deopt scenarios are crafted programs for the speculation-failure
 paths no workload triggers organically:
@@ -36,17 +37,12 @@ from __future__ import annotations
 from ..analysis.parallel import oracle_job, run_job
 from ..analysis.runner import oracle_run, run_vm
 from ..isa import ProgramBuilder
-from ..vm import JavaVM, TieredStrategy
+from ..vm.config import CONFIGS, resolve
 from ..workloads.base import SPEC_BENCHMARKS
 from .base import ExperimentResult, experiment
 
 #: compile_ratio values for the hotness-threshold sweep.
 SWEEP_RATIOS = (0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0)
-
-#: Thresholds for the deopt scenarios: promote fast, screen off, so the
-#: speculative paths are reached within a few dozen iterations.
-AGGRESSIVE = dict(t1_invocations=2, t2_invocations=3, osr_backedges=4,
-                  t2_backedges=8, compile_ratio=0.01, t2_screen=False)
 
 
 # ----------------------------------------------------------------------
@@ -164,14 +160,13 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, strategy=None, static_concurrency=False):
-    """Run one deopt scenario under the tiered engine; returns VMResult."""
+def run_scenario(name: str, config="tiered_stress"):
+    """Run one deopt scenario under a tiered config; returns VMResult.
+    ``tiered_stress`` reaches the speculative paths within a few dozen
+    iterations."""
     builder, _expected = SCENARIOS[name]
-    vm = JavaVM(builder().build(),
-                strategy=strategy or TieredStrategy(**AGGRESSIVE),
-                spawn_daemons=False,
-                static_concurrency=static_concurrency)
-    return vm.run()
+    return resolve(config).build(builder().build(),
+                                 spawn_daemons=False).run()
 
 
 def run_scenarios() -> dict:
@@ -204,7 +199,8 @@ def static_concurrency_comparison() -> dict:
     zero elision violations, identical stdout.  CI guards all three."""
     out = {}
     for label, static in (("static_off", False), ("static_on", True)):
-        res = run_scenario("lock_escape", static_concurrency=static)
+        res = run_scenario("lock_escape", resolve(
+            "tiered_stress", static_concurrency=static))
         t = res.tiering
         out[label] = {
             "stdout_ok": res.stdout == SCENARIOS["lock_escape"][1],
@@ -230,12 +226,6 @@ def _tiered_jobs(scale: str = "s1", benchmarks=None) -> list:
         jobs.append(oracle_job(name, scale))
         jobs.append(run_job(name, scale, "tiered"))
     return jobs
-
-
-def _suite(scale, benchmarks, mode):
-    """(total cycles, per-workload VMResult map) for one mode."""
-    results = {n: run_vm(n, scale=scale, mode=mode) for n in benchmarks}
-    return sum(r.cycles for r in results.values()), results
 
 
 def gap_recovered(scale: str = "s1", benchmarks=None) -> dict:
@@ -268,7 +258,7 @@ def gap_recovered(scale: str = "s1", benchmarks=None) -> dict:
     return {
         "scale": scale,
         "benchmarks": list(benchmarks),
-        "strategy": TieredStrategy().describe(),
+        "strategy": CONFIGS["tiered"].make_strategy().describe(),
         "per_workload": per,
         "totals": {
             "interp": interp_total,
@@ -338,8 +328,8 @@ def _ablation_jobs(scale: str = "s1", benchmarks=None) -> list:
     for name in benchmarks or SPEC_BENCHMARKS:
         jobs.append(oracle_job(name, scale))
         for ratio in SWEEP_RATIOS:
-            jobs.append(run_job(name, scale,
-                                ("tiered", 2, 64, 4, ratio)))
+            jobs.append(run_job(name, scale, "tiered_sweep",
+                                compile_ratio=ratio))
     return jobs
 
 
@@ -359,8 +349,8 @@ def run_ablation(scale: str = "s1", benchmarks=None) -> ExperimentResult:
         total = 0
         t1 = osr = 0
         for name in benchmarks:
-            res = run_vm(name, scale=scale,
-                         mode=("tiered", 2, 64, 4, ratio))
+            res = run_vm(name, scale=scale, mode="tiered_sweep",
+                         compile_ratio=ratio)
             total += res.cycles
             t1 += res.tiering["promotions_t1"]
             osr += res.tiering["osr_entries"]
@@ -422,7 +412,8 @@ def write_bench(path: str, scale: str = "s1", benchmarks=None) -> dict:
     sweep = []
     for ratio in SWEEP_RATIOS:
         total = sum(
-            run_vm(n, scale=scale, mode=("tiered", 2, 64, 4, ratio)).cycles
+            run_vm(n, scale=scale, mode="tiered_sweep",
+                   compile_ratio=ratio).cycles
             for n in data["benchmarks"])
         sweep.append({"compile_ratio": ratio, "suite_cycles": total})
     data["sweep"] = sweep
@@ -434,8 +425,46 @@ def write_bench(path: str, scale: str = "s1", benchmarks=None) -> dict:
     return data
 
 
+def evaluate_guards(data: dict) -> dict:
+    """Named guard verdicts over a tiered record (True = pass)."""
+    tot, tiering = data["totals"], data["tiering"]
+    frac = data["recovered_fraction"]
+    scen = data["deopt_scenarios"].values()
+    sc = data["static_concurrency"]
+    off, on = sc["static_off"], sc["static_on"]
+    return {
+        # suite: the ladder beats the JIT, never beats the oracle,
+        # recovers at least half of the oracle gap, and climbed
+        "tiered_beats_jit": tot["tiered"] < tot["jit"],
+        "oracle_bounds_tiered": tot["tiered"] >= tot["oracle"],
+        "recovers_half_the_gap": frac is not None and frac >= 0.5,
+        "suite_promoted": tiering["promotions_t1"] >= 1,
+        "suite_entered_osr": tiering["osr_entries"] >= 1,
+        # deopt scenarios: promotion, OSR and deopt all fired
+        "scenarios_stdout_ok": all(s["stdout_ok"] for s in scen),
+        "scenarios_promoted": sum(s["promotions_t1"] for s in scen) >= 1,
+        "scenarios_entered_osr": sum(s["osr_entries"] for s in scen) >= 1,
+        "scenarios_deopted": sum(s["deopts"] for s in scen) >= 1,
+        # static concurrency: the race detector's summaries pre-blacklist
+        # the racy Box site, so the lock-escape deopt never happens
+        "static_stdout_ok": off["stdout_ok"] and on["stdout_ok"],
+        "static_off_deopts": off["lock_escape_deopts"] >= 1,
+        "static_avoids_deopt":
+            on["lock_escape_deopts"] < off["lock_escape_deopts"],
+        "static_on_no_deopt": on["lock_escape_deopts"] == 0,
+        "static_on_no_violations": on["elision_violations"] == 0,
+    }
+
+
+def guard_failures(data: dict) -> list[str]:
+    """Human-readable failure lines (empty = all guards green)."""
+    return [f"guard {name} FAILED"
+            for name, ok in evaluate_guards(data).items() if not ok]
+
+
 def main(argv=None) -> int:
     import argparse
+    import json
     import sys
 
     parser = argparse.ArgumentParser(
@@ -447,7 +476,20 @@ def main(argv=None) -> int:
     parser.add_argument("--strict-steady", action="store_true",
                         help="exit nonzero when the wall-clock sample "
                              "stream never reaches detected steady state")
+    parser.add_argument("--check", metavar="FILE",
+                        help="re-evaluate guards of an existing record "
+                             "and exit (no runs)")
     args = parser.parse_args(argv)
+
+    if args.check:
+        with open(args.check) as fh:
+            failures = guard_failures(json.load(fh))
+        for line in failures:
+            print(line, file=sys.stderr)
+        print(f"{args.check}: "
+              + ("all guards pass" if not failures
+                 else f"{len(failures)} guard(s) failed"))
+        return 1 if failures else 0
     benchmarks = args.benchmarks.split(",") if args.benchmarks else None
     data = write_bench(args.out, scale=args.scale, benchmarks=benchmarks)
     # A manifest rides along with the bench file so two bench runs can
@@ -460,6 +502,7 @@ def main(argv=None) -> int:
         extra={"scale": args.scale, "benchmarks": data["benchmarks"],
                "strategy": data["strategy"], "tiering": data["tiering"],
                "recovered_fraction": data["recovered_fraction"],
+               "guards": evaluate_guards(data),
                "wall_sampling": {
                    "steady": data["wall_sampling"]["steady"],
                    "cv": data["wall_sampling"]["cv"]}},
@@ -484,11 +527,14 @@ def main(argv=None) -> int:
           f"{ws['repeats']} fresh runs): steady={ws['steady']} "
           f"cv={ws['cv']}")
     print(f"wrote {args.out} (+ {obs.manifest_path_for(args.out)})")
+    failures = guard_failures(data)
+    for line in failures:
+        print(line, file=sys.stderr)
     if args.strict_steady and not ws["steady"]:
         print("STRICT-STEADY FAILURE: tiered wall-clock samples never "
               "stabilized", file=sys.stderr)
         return 1
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

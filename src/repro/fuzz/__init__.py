@@ -1,8 +1,10 @@
 """Differential fuzzing of the execution engines.
 
 A seeded generator emits verifier-clean bytecode programs; a
-differential oracle runs each under interp / jit / jit_opt /
-lock_elision and flags semantic divergences and performance anomalies;
+differential oracle runs each under the ``MATRIX`` of registry configs
+(interp / jit / jit_opt / lock_elision / tiered_stress, see
+:data:`repro.vm.config.CONFIGS`) and flags semantic divergences and
+performance anomalies;
 a delta-debugging minimizer shrinks failures into checked-in
 reproducers.  ``python -m repro.fuzz --help`` for the CLI.
 """
@@ -12,8 +14,8 @@ from .harness import CampaignResult, Finding, run_campaign
 from .minimize import minimize_spec
 from .mutate import flip_one_opcode, mutation_sites
 from .oracle import (
-    CONFIGS,
     DEFAULT_TOLERANCE,
+    MATRIX,
     Anomaly,
     Divergence,
     Outcome,
@@ -25,11 +27,11 @@ from .oracle import (
 __all__ = [
     "Anomaly",
     "CampaignResult",
-    "CONFIGS",
     "DEFAULT_TOLERANCE",
     "Divergence",
     "FUEL",
     "Finding",
+    "MATRIX",
     "Outcome",
     "ProgramSpec",
     "Verdict",

@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-fuzz",
         description="Differential fuzzing of interp/jit/jit_opt/"
-                    "lock_elision.",
+                    "lock_elision/tiered.",
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign seed (default 0)")
@@ -193,11 +193,14 @@ def main(argv=None) -> int:
             manifest_path_for,
             write_manifest,
         )
+        from ..vm.config import CONFIGS
+        from .oracle import MATRIX
         manifest = build_manifest(tool="repro-fuzz", argv=sys.argv[1:],
                                   extra={"fuzz": {
                                       k: v for k, v in summary.items()
                                       if k != "findings"
-                                  }})
+                                  }, "configs": [CONFIGS[name].describe()
+                                                 for name in MATRIX]})
         write_manifest(manifest_path_for(args.json), manifest)
         say(f"wrote {args.json}")
 

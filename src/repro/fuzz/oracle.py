@@ -28,24 +28,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..isa.method import Program
-from ..vm import (
-    CompileOnFirstUse,
-    InterpretOnly,
-    JavaVM,
-    TieredStrategy,
-    VMResult,
-)
+from ..vm import VMResult
+from ..vm.config import CONFIGS
 from .gen import FUEL, ProgramSpec
 
-#: The execution-configuration matrix, in comparison order.  ``tiered``
-#: runs the online ladder with deliberately hair-trigger thresholds and
-#: the tier-2 benefit screen off, so promotion, OSR, speculation and
-#: deoptimization all fire inside even small generated programs.
-CONFIGS = ("interp", "jit", "jit_opt", "lock_elision", "tiered")
-
-#: Configs whose sync comparison must use elision-normalized keys
-#: (tier 2 elides speculatively, so ``tiered`` belongs here too).
-_ELISION = frozenset({"lock_elision", "tiered"})
+#: The execution-configuration matrix (registry names), in comparison
+#: order.  ``tiered_stress`` runs the online ladder with hair-trigger
+#: thresholds and the tier-2 benefit screen off, so promotion, OSR,
+#: speculation and deoptimization all fire inside even small generated
+#: programs.
+MATRIX = ("interp", "jit", "jit_opt", "lock_elision", "tiered_stress")
 
 #: Default headroom for the performance oracles (fraction).
 DEFAULT_TOLERANCE = 0.02
@@ -54,23 +46,6 @@ DEFAULT_TOLERANCE = 0.02
 #: compile-cost outlier (the paper's hello/db phenomenon, taken to its
 #: extreme).  Calibrated so only ~1-2% of generated programs qualify.
 TRANSLATE_SHARE = 0.77
-
-
-def _make_vm(program: Program, config: str) -> JavaVM:
-    if config == "interp":
-        return JavaVM(program, strategy=InterpretOnly())
-    if config == "jit":
-        return JavaVM(program, strategy=CompileOnFirstUse())
-    if config == "jit_opt":
-        return JavaVM(program, strategy=CompileOnFirstUse(), jit_opt=True)
-    if config == "lock_elision":
-        return JavaVM(program, strategy=CompileOnFirstUse(),
-                      lock_elision=True)
-    if config == "tiered":
-        return JavaVM(program, strategy=TieredStrategy(
-            t1_invocations=2, t2_invocations=3, osr_backedges=4,
-            t2_backedges=8, compile_ratio=0.01, t2_screen=False))
-    raise ValueError(f"unknown config {config!r}")
 
 
 @dataclass
@@ -164,7 +139,7 @@ def run_config(program: Program, config: str,
     """Execute ``program`` under one configuration, capturing errors."""
     outcome = Outcome(config)
     try:
-        vm = _make_vm(program, config)
+        vm = CONFIGS[config].build(program)
         outcome.result = vm.run(max_bytecodes=fuel)
     except Exception as exc:  # noqa: BLE001 - errors are oracle data
         outcome.error = f"{type(exc).__name__}: {exc}"
@@ -176,7 +151,7 @@ def run_oracle(
     fuel: int = FUEL,
     tolerance: float = DEFAULT_TOLERANCE,
     mutate: tuple[str, Callable[[Program], Program]] | None = None,
-    configs: tuple[str, ...] = CONFIGS,
+    configs: tuple[str, ...] = MATRIX,
 ) -> Verdict:
     """Run ``spec`` under every configuration and compare.
 
@@ -221,7 +196,7 @@ def _compare(left: Outcome, right: Outcome) -> list[Divergence]:
                                left.error or "completed",
                                right.error or "completed")]
         return []
-    eliding = bool(_ELISION & {left.config, right.config})
+    eliding = CONFIGS[left.config].elides or CONFIGS[right.config].elides
     lo = observables(left.result, elision=eliding)
     ro = observables(right.result, elision=eliding)
     return [

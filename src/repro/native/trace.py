@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .nisa import (
     FLAG_TAKEN,
     FLAG_TRANSLATE,
     FLAG_WRITE,
-    INDIRECT_CATS,
     MEMORY_CATS,
     N_CATEGORIES,
     NCat,
@@ -161,10 +160,6 @@ class Trace:
         return np.isin(self.cat, list(TRANSFER_CATS))
 
     @property
-    def is_indirect(self) -> np.ndarray:
-        return np.isin(self.cat, list(INDIRECT_CATS))
-
-    @property
     def is_taken(self) -> np.ndarray:
         return (self.flags & FLAG_TAKEN) != 0
 
@@ -182,11 +177,6 @@ class Trace:
 
     def __len__(self) -> int:
         return self.n
-
-    def iter_events(self) -> Iterator[tuple]:
-        """Row-wise iteration (slow; for tests and debugging)."""
-        for i in range(self.n):
-            yield tuple(int(getattr(self, c)[i]) for c in _COLUMNS)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trace(n={self.n})"

@@ -28,7 +28,8 @@ def main(argv=None) -> int:
                      help=f"preset name (one of {sorted(PRESETS)})")
     src.add_argument("--spec", help="path to a ScenarioSpec JSON file")
     parser.add_argument("--mode", default="tiered",
-                        help="execution config (interp/jit/tiered/...)")
+                        help="registry config name (interp/jit/tiered/"
+                             "...; see repro.vm.config.CONFIGS)")
     parser.add_argument("--code-archive", default="",
                         help="shared code archive dir ('' disables)")
     parser.add_argument("--requests", type=int)

@@ -12,12 +12,12 @@ arrival — so queueing delay, burst backlogs and diurnal ramps are
 visible in the latency distribution instead of being simulated away.
 
 :func:`run_scenario` builds the program, runs it under any execution
-config (``interp``/``jit``/``tiered``/tuple modes, optionally against a
-shared code archive), and reduces the per-request record to the
-measurements the server bench guards: throughput, exact tail-latency
-percentiles in cycles, per-window cycles-per-request samples with
-steady-state detection (:mod:`repro.bench.stats`), the lock-case mix,
-tier-transition counters and code-archive churn.
+config (a :data:`~repro.vm.config.CONFIGS` name or a ``VMConfig``,
+optionally against a shared code archive), and reduces the per-request
+record to the measurements the server bench guards: throughput, exact
+tail-latency percentiles in cycles, per-window cycles-per-request
+samples with steady-state detection (:mod:`repro.bench.stats`), the
+lock-case mix, tier-transition counters and code-archive churn.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.runner import make_strategy, mode_token
 from ..bench.stats import detect_steady, percentiles
 from ..obs import TRACER
-from ..sync import LOCK_MANAGERS
+from ..vm.config import resolve
 from ..vm.machine import JavaVM, VMResult
 from ..vm.threads import RUNNABLE, WAITING
 from .codegen import KIND_BITS, build_program
@@ -180,7 +179,7 @@ class TrafficResult:
                                  minlength=len(kinds)).tolist()
         out = {
             "scenario": self.spec.name,
-            "mode": mode_token(self.mode) or str(self.mode),
+            "mode": str(self.mode),
             "requests": t.n,
             "stdout": list(r.stdout),
             "wall_seconds": round(self.wall_seconds, 3),
@@ -227,29 +226,26 @@ def run_scenario(
     mode="tiered",
     *,
     code_archive: str = "",
-    lock_manager: str = "monitor-cache",
     windows: int = DEFAULT_WINDOWS,
     window_requests: int | None = None,
     steady_window: int = 5,
     steady_cv: float = 0.10,
-    static_concurrency: bool = False,
     max_bytecodes: int | None = None,
 ) -> TrafficResult:
-    """Build, run and measure one scenario under one execution config.
+    """Build, run and measure one scenario under one execution config
+    (a registry name or a ``VMConfig``).
 
     ``code_archive`` names a shared compiled-code archive directory
     (empty string disables, mirroring ``run_vm``).  Results are never
     served from the run cache: the per-request record lives outside
     :class:`VMResult`, and archive warmth must stay observable.
     """
+    config = resolve(mode)
     program = build_program(spec)
     tracker = RequestTracker(spec)
-    vm = JavaVM(
+    vm = config.build(
         program,
-        strategy=make_strategy(mode),
-        lock_manager=LOCK_MANAGERS[lock_manager](),
         spawn_daemons=False,
-        static_concurrency=static_concurrency,
         code_archive=code_archive,
         max_bytecodes=max_bytecodes or max(80_000_000, 300 * spec.requests),
     )
@@ -257,7 +253,7 @@ def run_scenario(
     started = time.perf_counter()
     if TRACER.enabled:
         with TRACER.span("traffic.scenario", scenario=spec.name,
-                         mode=mode_token(mode) or str(mode),
+                         mode=str(config),
                          requests=spec.requests, threads=spec.threads,
                          arrival=spec.arrival) as sp:
             result = vm.run()
@@ -275,7 +271,7 @@ def run_scenario(
             f"{spec.requests} requests completed")
 
     w = window_requests or max(1, spec.requests // max(1, windows))
-    traffic = TrafficResult(spec, mode, result, tracker, wall, w,
+    traffic = TrafficResult(spec, config, result, tracker, wall, w,
                             steady_window, steady_cv)
     if TRACER.enabled:
         for k, cpr in enumerate(traffic.window_samples().tolist()):

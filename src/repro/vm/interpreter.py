@@ -16,18 +16,15 @@ from __future__ import annotations
 
 import time
 
-from ..isa.opcodes import ArrayType, Op, OPINFO
-from ..native.nisa import NCat
+from ..isa.opcodes import ArrayType, Op
 from ..obs import TRACER
 from . import values
 from .interp_templates import MAX_INVOKE_ARGS, shared_templates
 from .objects import JArray, JObject, JString
 from .threads import (
-    BLOCKED,
     EMIT_COMPILED,
     EMIT_INTERP,
     EMIT_NONE,
-    FINISHED,
     JThread,
     RUNNABLE,
 )
@@ -47,6 +44,7 @@ class Interpreter:
         self.stubs = vm.stubs
         self.loader = vm.loader
         self.tiered = vm.tiered
+        self.alloc_hook = vm.elision.alloc_hook
         self._handlers = self._build_dispatch()
 
     # ------------------------------------------------------------------
@@ -659,10 +657,8 @@ class Interpreter:
     def _op_new(self, thread, frame, instr):
         cls = self.loader.resolve_class(frame.method.jclass, instr.a)
         obj = self.vm.heap.new_object(cls)
-        if self.vm.lock_elision:
-            self._mark_thread_local(thread, frame, obj)
-        elif self.tiered is not None:
-            self.tiered.mark_allocation(thread, frame, obj)
+        if self.alloc_hook is not None:
+            self.alloc_hook(thread, frame, obj)
         d = len(frame.stack)
         frame.stack.append(obj)
         self._emit_alloc(frame, instr, obj, frame.slot_addr(d))
@@ -670,10 +666,8 @@ class Interpreter:
     def _op_newarray(self, thread, frame, instr):
         length = frame.stack.pop()
         arr = self.vm.heap.new_array(ArrayType(instr.a), length)
-        if self.vm.lock_elision:
-            self._mark_thread_local(thread, frame, arr)
-        elif self.tiered is not None:
-            self.tiered.mark_allocation(thread, frame, arr)
+        if self.alloc_hook is not None:
+            self.alloc_hook(thread, frame, arr)
         d = len(frame.stack)
         frame.stack.append(arr)
         self._emit_alloc(frame, instr, arr, frame.slot_addr(d))
@@ -682,19 +676,11 @@ class Interpreter:
         cls = self.loader.resolve_class(frame.method.jclass, instr.a)
         length = frame.stack.pop()
         arr = self.vm.heap.new_array("ref", length, ref_class=cls)
-        if self.vm.lock_elision:
-            self._mark_thread_local(thread, frame, arr)
-        elif self.tiered is not None:
-            self.tiered.mark_allocation(thread, frame, arr)
+        if self.alloc_hook is not None:
+            self.alloc_hook(thread, frame, arr)
         d = len(frame.stack)
         frame.stack.append(arr)
         self._emit_alloc(frame, instr, arr, frame.slot_addr(d))
-
-    def _mark_thread_local(self, thread, frame, obj) -> None:
-        """Tag ``obj`` for lock elision when this allocation site is
-        proven non-escaping (the instruction just fetched is ip-1)."""
-        if (frame.ip - 1) in self.vm.elidable_sites(frame.method):
-            obj.tl_thread = thread.thread_id
 
     def _emit_alloc(self, frame, instr, obj, push_ea):
         mode = frame.emit_mode

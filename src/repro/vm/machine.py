@@ -11,11 +11,11 @@ the experiment harness consumes.
 from __future__ import annotations
 
 from ..isa.method import Method, Program
-from ..native.layout import WORD_BYTES
 from ..native.trace import CountingSink, RecordingSink, Trace
 from ..obs import TRACER
 from ..sync.monitor_cache import MonitorCacheLockManager
 from .classloader import ClassLoader
+from .elision import ElisionPolicy
 from .heap import Heap
 from .interp_templates import shared_templates
 from .interpreter import Interpreter, VMError
@@ -24,7 +24,7 @@ from .jit.inline import ClassHierarchy
 from .objects import JObject, JString
 from .profiler import Profiler
 from .stubs import shared_stubs
-from .strategy import CompileOnFirstUse, InterpretOnly, Strategy, TieredStrategy
+from .strategy import CompileOnFirstUse, Strategy, TieredStrategy
 from .threads import (
     BLOCKED,
     EMIT_COMPILED,
@@ -131,7 +131,6 @@ class JavaVM:
         self.sink = RecordingSink() if record else CountingSink()
         self.stubs = shared_stubs()
         self.templates = shared_templates()
-        self.folding = folding
         if folding:
             from .folding import FoldingSink
             self.sink = FoldingSink(self.sink, self.templates)
@@ -152,15 +151,6 @@ class JavaVM:
         archive_dir = resolve_archive_dir(code_archive)
         if archive_dir:
             self.jit.archive = CodeArchive(archive_dir)
-        self.jit_opt = jit_opt
-        self.lock_elision = lock_elision
-        self._escape_summaries = None
-        self._elision_plan: dict[int, frozenset] = {}
-        # Static concurrency summaries (analysis.concurrency): safe sites
-        # pre-seed tier-2 elision, racy sites are pre-blacklisted.
-        self.static_concurrency = static_concurrency
-        self._concurrency = None
-        self._concurrency_plan: dict[int, tuple] = {}
         self.profiler = Profiler() if profile else None
         if isinstance(self.strategy, TieredStrategy):
             # Tiering is profile-driven: the controller needs invocation
@@ -171,6 +161,9 @@ class JavaVM:
             self.loader.on_load = self.tiered.on_class_loaded
         else:
             self.tiered = None
+        self.elision = ElisionPolicy(
+            program, lock_elision=lock_elision,
+            static_concurrency=static_concurrency, tiered=self.tiered)
         self.interp = Interpreter(self)
         if track_confinement:
             from .confinement import ConfinementTracker
@@ -412,42 +405,6 @@ class JavaVM:
         if self.profiler:
             self.profiler.note_translate(method, compiled.translate_cycles,
                                          installed=compiled.from_archive)
-
-    # ------------------------------------------------------------------
-    # lock elision (escape analysis)
-    # ------------------------------------------------------------------
-    def elidable_sites(self, method: Method) -> frozenset:
-        """Alloc-site indices in ``method`` proven non-escaping."""
-        sites = self._elision_plan.get(method.method_id)
-        if sites is None:
-            if self._escape_summaries is None:
-                from ..analysis.dataflow.escape import EscapeSummaries
-                self._escape_summaries = EscapeSummaries(self.program)
-            info = self._escape_summaries.info(method)
-            sites = info.elidable_allocs if info is not None else frozenset()
-            self._elision_plan[method.method_id] = sites
-        return sites
-
-    def concurrency_plan(self, method: Method) -> tuple:
-        """``(safe, racy)`` alloc-site sets from the concurrency analysis.
-
-        ``safe`` sites are elidable with no deopt risk (every thread that
-        can lock instances of the allocated class is the allocating
-        thread); ``racy`` sites are pre-blacklisted for speculation.
-        """
-        plan = self._concurrency_plan.get(method.method_id)
-        if plan is None:
-            if self._concurrency is None:
-                from ..analysis.concurrency import ConcurrencyAnalysis
-                if self._escape_summaries is None:
-                    from ..analysis.dataflow.escape import EscapeSummaries
-                    self._escape_summaries = EscapeSummaries(self.program)
-                self._concurrency = ConcurrencyAnalysis(
-                    self.program, escape=self._escape_summaries)
-            plan = (self._concurrency.safe_sites(method),
-                    self._concurrency.racy_sites(method))
-            self._concurrency_plan[method.method_id] = plan
-        return plan
 
     # ------------------------------------------------------------------
     # synchronization service

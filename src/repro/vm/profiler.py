@@ -56,16 +56,6 @@ class MethodProfile:
         self.osr_entries = 0
         self.deopts = 0
 
-    @property
-    def interp_per_invocation(self) -> float:
-        """Mean interpret cost per invocation (``I_i``)."""
-        return self.interp_cycles / self.invocations if self.invocations else 0.0
-
-    @property
-    def exec_per_invocation(self) -> float:
-        """Mean compiled-execution cost per invocation (``E_i``)."""
-        return self.compiled_cycles / self.invocations if self.invocations else 0.0
-
     def snapshot(self) -> dict:
         snap = {
             "name": self.qualified_name,

@@ -19,9 +19,14 @@ The paper's Section 3 compares:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
+
 
 class Strategy:
-    """Decides, per invocation, whether a method should now be compiled."""
+    """Decides, per invocation, whether a method should now be compiled.
+
+    Concrete strategies are frozen dataclasses whose fields are their
+    thresholds."""
 
     name = "abstract"
 
@@ -30,12 +35,11 @@ class Strategy:
 
     def describe(self) -> dict:
         """Manifest-ready config: strategy name plus any thresholds."""
-        return {"name": self.name}
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
+        return {"name": self.name,
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
+@dataclass(frozen=True)
 class InterpretOnly(Strategy):
     """Never compile — a pure interpreter (JDK/Kaffe -nojit)."""
 
@@ -45,6 +49,7 @@ class InterpretOnly(Strategy):
         return False
 
 
+@dataclass(frozen=True)
 class CompileOnFirstUse(Strategy):
     """Kaffe's default JIT policy: translate on first invocation."""
 
@@ -54,117 +59,76 @@ class CompileOnFirstUse(Strategy):
         return True
 
 
+@dataclass(frozen=True)
 class CounterThreshold(Strategy):
     """Interpret the first ``threshold - 1`` invocations, then compile."""
 
     name = "counter"
+    threshold: int = 2
 
-    def __init__(self, threshold: int = 2) -> None:
-        if threshold < 1:
+    def __post_init__(self) -> None:
+        if self.threshold < 1:
             raise ValueError("threshold must be >= 1")
-        self.threshold = threshold
 
     def should_compile(self, method, invocation_count: int) -> bool:
         return invocation_count >= self.threshold
 
-    def describe(self) -> dict:
-        return {"name": self.name, "threshold": self.threshold}
 
-    def __repr__(self) -> str:
-        return f"CounterThreshold({self.threshold})"
-
-
+@dataclass(frozen=True)
 class TieredStrategy(Strategy):
     """Online tier ladder: interpret, then baseline-JIT hot methods, then
-    recompile the hottest with the analysis-heavy optimizer.
+    recompile the hottest with the analysis-heavy optimizer
+    (``docs/tiering.md``; decisions live in
+    :class:`~repro.vm.tiering.TieredController`).
 
-    Promotion is decided by the :class:`~repro.vm.tiering.TieredController`
-    from the hotness signals the interpreter maintains: invocation counts
-    (checked at method entry), loop-backedge counts (checked at every
-    backward branch, enabling OSR into a running activation), and the
-    interpret cycles charged to the method so far.  A method reaches
-    tier 1 once it has *burned* ``compile_ratio`` times its estimated
-    translate cost in the interpreter — the online approximation of the
-    oracle's ``n_i > N_i = T_i / (I_i - E_i)`` rule, using only
-    quantities the runtime can observe — subject to the
-    ``t1_invocations`` / ``osr_backedges`` minimum-event gates.  Tier 2
-    is counter-driven (``t2_invocations`` / ``t2_backedges``) but also
-    screened for benefit: a retranslate only pays when the optimizer
-    will remove real work (see ``TieredController._tier2_profitable``).
-    All counters measure events *since the last deoptimization* of the
-    method, so a deopted method re-profiles before re-promotion.
-
-    ``speculate`` enables the tier-2 speculations that deoptimization
-    exists to undo (loaded-world CHA devirtualization, speculative lock
-    elision on unproven allocation sites); with it off, tier 2 is the
-    statically sound optimizer only.
+    A method reaches tier 1 once it has *burned* ``compile_ratio`` times
+    its estimated translate cost in the interpreter — the online form of
+    the oracle's ``n_i > N_i = T_i / (I_i - E_i)`` rule — subject to the
+    ``t1_invocations`` / ``osr_backedges`` gates.  Tier 2 is gated by
+    ``t2_invocations`` / ``t2_backedges`` and, with ``t2_screen``, by a
+    benefit screen.  Counters restart at each deoptimization.
+    ``speculate`` enables the tier-2 speculations deoptimization undoes
+    (loaded-world CHA devirtualization, lock elision on unproven sites).
     """
 
     name = "tiered"
+    t1_invocations: int = 2
+    t2_invocations: int = 64
+    osr_backedges: int = 4
+    t2_backedges: int = 512
+    compile_ratio: float = 0.125
+    speculate: bool = True
+    t2_screen: bool = True
 
-    def __init__(self, t1_invocations: int = 2, t2_invocations: int = 64,
-                 osr_backedges: int = 4, t2_backedges: int = 512,
-                 compile_ratio: float = 0.125,
-                 speculate: bool = True,
-                 t2_screen: bool = True) -> None:
-        if min(t1_invocations, t2_invocations,
-               osr_backedges, t2_backedges) < 1:
+    def __post_init__(self) -> None:
+        if min(self.t1_invocations, self.t2_invocations,
+               self.osr_backedges, self.t2_backedges) < 1:
             raise ValueError("tier thresholds must be >= 1")
-        if t2_invocations <= t1_invocations:
+        if self.t2_invocations <= self.t1_invocations:
             raise ValueError("t2_invocations must exceed t1_invocations")
-        if compile_ratio <= 0:
+        if self.compile_ratio <= 0:
             raise ValueError("compile_ratio must be positive")
-        self.t1_invocations = t1_invocations
-        self.t2_invocations = t2_invocations
-        self.osr_backedges = osr_backedges
-        self.t2_backedges = t2_backedges
-        self.compile_ratio = compile_ratio
-        self.speculate = speculate
-        #: With the screen off, any method passing the tier-2 counters is
-        #: recompiled and unproven allocation sites are speculated on
-        #: wholesale — slower, but it exercises every deopt path, which
-        #: is what the fuzz oracle and the CI smoke run want.
-        self.t2_screen = t2_screen
 
     def should_compile(self, method, invocation_count: int) -> bool:
         # Entry-point compatibility only; the controller owns the real
         # per-tier decisions (machine.prepare_method routes to it).
         return invocation_count >= self.t1_invocations
 
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "t1_invocations": self.t1_invocations,
-            "t2_invocations": self.t2_invocations,
-            "osr_backedges": self.osr_backedges,
-            "t2_backedges": self.t2_backedges,
-            "compile_ratio": self.compile_ratio,
-            "speculate": self.speculate,
-            "t2_screen": self.t2_screen,
-        }
 
-    def __repr__(self) -> str:
-        return (f"TieredStrategy(t1={self.t1_invocations}, "
-                f"t2={self.t2_invocations}, osr={self.osr_backedges}, "
-                f"t2_edges={self.t2_backedges}, "
-                f"ratio={self.compile_ratio})")
-
-
+@dataclass(frozen=True)
 class OracleStrategy(Strategy):
     """The paper's ``opt`` model: a supplied set of methods (chosen with
     perfect knowledge of ``n_i`` and ``N_i``) is compiled on first use;
     everything else is always interpreted."""
 
     name = "oracle"
+    compile_set: frozenset = frozenset()
 
-    def __init__(self, compile_set: set[str]) -> None:
-        self.compile_set = frozenset(compile_set)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "compile_set", frozenset(self.compile_set))
 
     def should_compile(self, method, invocation_count: int) -> bool:
         return method.qualified_name in self.compile_set
 
     def describe(self) -> dict:
         return {"name": self.name, "compile_set_size": len(self.compile_set)}
-
-    def __repr__(self) -> str:
-        return f"OracleStrategy({len(self.compile_set)} methods)"

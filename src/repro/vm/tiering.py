@@ -39,7 +39,6 @@ so blocking behaviour matches a non-eliding run.
 
 from __future__ import annotations
 
-from ..isa.opcodes import Op
 from ..obs import TRACER
 from ..sync.base import RECURSION_LIMIT
 from .threads import EMIT_COMPILED, EMIT_INTERP, EMIT_OSR
@@ -109,9 +108,6 @@ class TieredController:
         self._archive_probe: dict[int, bool] = {}
         #: (class_name, method_name) -> [(dependent_method, assumed_target)]
         self.assumptions: dict[tuple, list] = {}
-        #: method_id -> [(alloc site, proven thread-local)] for sites that
-        #: allocate a class with synchronized methods (tier-2 screen).
-        self._sync_alloc_sites: dict[int, list] = {}
 
     # ------------------------------------------------------------------
     # ladder state
@@ -155,44 +151,12 @@ class TieredController:
                 else estimated_translate_cycles(method))
 
     def _tier2_profitable(self, method, st) -> bool:
-        """The tier-1 -> tier-2 benefit screen: recompiling costs a full
-        translate again, so it only happens when the optimizer can remove
-        real work.  On this VM that means lock elision: the method must
-        allocate a class that has synchronized methods at a site escape
-        analysis proves thread-local (certain win) or, with speculation
-        on, at an unproven site that has not been blacklisted by a prior
-        deopt (insured win).  Dead-store elimination and CHA inlining
-        alone never repay a retranslate here, so they ride along rather
-        than justify the trip.  ``strategy.t2_screen=False`` disables
-        the screen (stress configs that want every deopt path hot)."""
-        if not self.strategy.t2_screen:
-            return True
-        sites = self._sync_alloc_sites.get(method.method_id)
-        if sites is None:
-            sites = []
-            program = self.vm.loader.program
-            for pc, ins in enumerate(method.code):
-                if ins.op is not Op.NEW:
-                    continue
-                try:
-                    target = program.get_class(
-                        method.jclass.pool[ins.a].class_name)
-                except KeyError:
-                    continue
-                if any(m.is_synchronized for m in target.methods.values()):
-                    proven = pc in self.vm.elidable_sites(method)
-                    sites.append((pc, proven))
-            self._sync_alloc_sites[method.method_id] = sites
-        static_safe = static_racy = frozenset()
-        if self.vm.static_concurrency:
-            static_safe, static_racy = self.vm.concurrency_plan(method)
-        for pc, proven in sites:
-            if proven or pc in static_safe:
-                return True
-            if (self.strategy.speculate and pc not in st.elide_blacklist
-                    and pc not in static_racy):
-                return True
-        return False
+        """The tier-1 -> tier-2 benefit screen (off with ``t2_screen``):
+        a retranslate only repays when tier 2 elides real locks; DSE and
+        CHA inlining ride along (``ElisionPolicy.tier2_profitable``)."""
+        return (not self.strategy.t2_screen
+                or self.vm.elision.tier2_profitable(method,
+                                                    st.elide_blacklist))
 
     def on_invoke(self, method):
         """Invocation-count rung, called from ``prepare_method``.
@@ -309,43 +273,9 @@ class TieredController:
         return compiled.entry_pc
 
     # ------------------------------------------------------------------
-    # tier-2 speculation: lock elision beyond the static proof
+    # tier-2 speculation: lock elision beyond the static proof (sites are
+    # marked by ElisionPolicy's allocation hook)
     # ------------------------------------------------------------------
-    def mark_allocation(self, thread, frame, obj) -> None:
-        """Tier-2 allocation-site marking (called from the alloc ops).
-
-        Sites escape analysis *proved* non-escaping elide exactly as the
-        ``lock_elision`` config does.  Unproven, non-blacklisted sites
-        are elided speculatively: the object remembers its site
-        (``tl_spec``) so a foreign touch can repair and deoptimize.
-        """
-        compiled = frame.compiled
-        if (compiled is None or compiled.tier < 2
-                or frame.emit_mode < EMIT_COMPILED):
-            return
-        method = frame.method
-        site = frame.ip - 1
-        if site in self.vm.elidable_sites(method):
-            obj.tl_thread = thread.thread_id
-            return
-        if self.vm.static_concurrency:
-            safe, racy = self.vm.concurrency_plan(method)
-            if site in safe:
-                # Concurrency analysis proved every locker is the
-                # allocating thread: elide without speculation.
-                obj.tl_thread = thread.thread_id
-                return
-            if site in racy:
-                return   # pre-blacklisted: a foreign lock is expected
-        if not self.strategy.speculate:
-            return
-        st = self.states.get(method.method_id)
-        if st is not None and site in st.elide_blacklist:
-            return
-        obj.tl_thread = thread.thread_id
-        obj.tl_spec = (method.method_id, site)
-        self.speculative_marks += 1
-
     def on_foreign_touch(self, obj) -> None:
         """A speculatively-elided object was reached by a foreign thread:
         the escape speculation failed.  Repair exactly, then deopt.

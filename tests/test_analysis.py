@@ -119,7 +119,7 @@ class TestRunner:
     def test_make_strategy_names(self):
         assert isinstance(make_strategy("interp"), InterpretOnly)
         assert isinstance(make_strategy("jit"), CompileOnFirstUse)
-        assert isinstance(make_strategy(("counter", 3)), CounterThreshold)
+        assert isinstance(make_strategy("counter"), CounterThreshold)
         assert isinstance(make_strategy("oracle", {"A.m"}), OracleStrategy)
         with pytest.raises(ValueError):
             make_strategy("warp-speed")
@@ -153,7 +153,7 @@ class TestRunner:
 class TestCounterThresholdBehaviour:
     def test_threshold_interpolates(self):
         jit = run_vm("db", scale="s0", mode="jit")
-        counter = run_vm("db", scale="s0", mode=("counter", 4))
+        counter = run_vm("db", scale="s0", mode="counter", threshold=4)
         interp = run_vm("db", scale="s0", mode="interp")
         assert interp.stdout == counter.stdout == jit.stdout
         assert 0 < counter.methods_compiled < jit.methods_compiled or \

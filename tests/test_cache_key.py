@@ -10,8 +10,10 @@ at call time, so tests can redirect it per-test.
 
 from __future__ import annotations
 
+import glob
 import os
 import pickle
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro.analysis import cache
 from repro.analysis.runner import get_trace, run_vm
+from repro.sync import LOCK_MANAGERS
+from repro.vm.config import CONFIGS, VMConfig
 
 # -- key properties ----------------------------------------------------
 
@@ -67,6 +71,64 @@ class TestKeyProperties:
         assert base != cache.cache_key("run", workload="db", scale="s1",
                                        inline=True)
         assert base != cache.cache_key("run", workload="db")
+
+
+# -- VMConfig keys -----------------------------------------------------
+
+_thresholds = st.integers(1, 10_000)
+_flags = st.booleans()
+
+#: A value strategy for every VMConfig field; a field added to VMConfig
+#: without an entry here fails ``test_every_field_has_a_strategy``.
+_FIELD_VALUES = {
+    "strategy": st.sampled_from(["interp", "jit", "counter", "oracle",
+                                 "tiered"]),
+    "threshold": _thresholds,
+    "t1": _thresholds,
+    "t2": _thresholds,
+    "osr": _thresholds,
+    "t2_backedges": _thresholds,
+    "compile_ratio": st.floats(1e-6, 1e6),
+    "speculate": _flags,
+    "t2_screen": _flags,
+    "compile_set": st.frozensets(st.text(max_size=8), max_size=5),
+    "lock_manager": st.sampled_from(sorted(LOCK_MANAGERS)),
+    "inline": _flags,
+    "profile": _flags,
+    "folding": _flags,
+    "jit_opt": _flags,
+    "lock_elision": _flags,
+    "static_concurrency": _flags,
+}
+
+
+class TestVMConfigKey:
+    def test_every_field_has_a_strategy(self):
+        assert set(_FIELD_VALUES) == {f.name for f in fields(VMConfig)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(CONFIGS)),
+           st.sampled_from([f.name for f in fields(VMConfig)]), st.data())
+    def test_any_field_change_changes_key(self, name, field, data):
+        base = CONFIGS[name]
+        value = data.draw(_FIELD_VALUES[field].filter(
+            lambda v, old=getattr(base, field): v != old))
+        changed = base.replace(**{field: value})
+        assert changed.key() != base.key()
+        assert changed.key() == base.replace(**{field: value}).key()
+
+    def test_equal_size_compile_sets_differ(self):
+        """The strategy's manifest view records only the set's size; the
+        key must carry the members."""
+        a = VMConfig("oracle", compile_set={"A.m", "B.m"})
+        b = VMConfig("oracle", compile_set={"A.m", "C.m"})
+        assert (a.make_strategy().describe()
+                == b.make_strategy().describe())
+        assert a.key() != b.key()
+
+    def test_registry_entries_have_distinct_keys(self):
+        keys = {config.key() for config in CONFIGS.values()}
+        assert len(keys) == len(CONFIGS)
 
 
 # -- source digest -----------------------------------------------------
@@ -125,9 +187,9 @@ class TestSourceDigest:
 
 class TestCorruptArchives:
     def _trace_path(self, cache_dir):
-        key = cache.cache_key("trace", workload="hello", scale="s0",
-                              mode="interp")
-        return cache.trace_path(cache_dir, "hello", "s0", "interp", key)
+        (path,) = glob.glob(os.path.join(cache_dir, "traces",
+                                         "hello-s0-interp-*.npy"))
+        return path
 
     def test_corrupt_trace_recomputed(self, tmp_path):
         cache_dir = str(tmp_path)
@@ -190,10 +252,27 @@ class TestRoundTrip:
         assert warm.footprint == cold.footprint
 
     def test_uncacheable_modes_bypass_cache(self, tmp_path):
-        from repro.vm.strategy import InterpretOnly
-        run_vm("hello", scale="s0", mode=InterpretOnly(),
-               cache_dir=str(tmp_path))
-        assert not os.path.exists(os.path.join(str(tmp_path), "runs"))
+        """Runs against a code archive are never cached."""
+        run_vm("hello", scale="s0", mode="jit",
+               cache_dir=str(tmp_path / "cache"),
+               code_archive=str(tmp_path / "archive"))
+        assert not os.path.exists(tmp_path / "cache" / "runs")
+
+    def test_archive_traces_never_alias_archive_off_traces(
+            self, tmp_path, monkeypatch):
+        """A trace recorded against a warm code archive has fewer
+        translate rows; it must not be served to an archive-off call."""
+        monkeypatch.delenv("REPRO_CODE_ARCHIVE", raising=False)
+        cache_dir, archive = str(tmp_path / "cache"), str(tmp_path / "a")
+        fresh = get_trace("hello", "s0", "jit", cache_dir="")
+        run_vm("hello", scale="s0", mode="jit", code_archive=archive)
+        monkeypatch.setenv("REPRO_CODE_ARCHIVE", archive)
+        warm = get_trace("hello", "s0", "jit", cache_dir=cache_dir)
+        assert warm.n != fresh.n
+        monkeypatch.delenv("REPRO_CODE_ARCHIVE")
+        again = get_trace("hello", "s0", "jit", cache_dir=cache_dir)
+        assert again.n == fresh.n
+        assert (again.pc == fresh.pc).all()
 
     def test_recording_runs_bypass_result_cache(self, tmp_path):
         result = run_vm("hello", scale="s0", mode="interp", record=True,

@@ -13,6 +13,7 @@ from repro.fuzz.crosscheck import check_spec, run_crosscheck
 from repro.fuzz.gen import gen_mt_program, gen_program
 from repro.fuzz.oracle import run_oracle
 from repro.isa.builder import ProgramBuilder
+from repro.vm.elision import STATIC_RACY, STATIC_SAFE, UNPROVEN
 from repro.vm.library import ensure_library
 from repro.vm.machine import JavaVM
 
@@ -162,23 +163,25 @@ class TestLockset:
 
 
 class TestStaticPlansInVM:
-    def test_concurrency_plan_blacklists_shared_class(self):
+    def test_static_verdict_blacklists_shared_class(self):
         from repro.lint.corpus import _shared_counter
         program = _shared_counter(synchronized=True)
         vm = JavaVM(program, static_concurrency=True)
-        main = program.entry_method
-        safe, racy = vm.concurrency_plan(main)
-        assert 0 in racy            # the shared T/Result allocation
-        assert 0 not in safe
+        # the shared T/Result allocation
+        assert vm.elision.verdict(program.entry_method, 0) == STATIC_RACY
 
-    def test_concurrency_plan_proves_single_locker(self):
+    def test_static_verdict_proves_single_locker(self):
         from repro.lint.corpus import _single_locker
         program = _single_locker()
         vm = JavaVM(program, static_concurrency=True)
-        main = program.entry_method
-        safe, racy = vm.concurrency_plan(main)
-        assert 0 in safe
-        assert 0 not in racy
+        assert vm.elision.verdict(program.entry_method, 0) == STATIC_SAFE
+
+    def test_static_verdicts_need_static_concurrency(self):
+        from repro.lint.corpus import _single_locker
+        program = _single_locker()
+        vm = JavaVM(program)
+        assert vm.elision.verdict(program.entry_method, 0) == UNPROVEN
+        assert vm.elision.alloc_hook is None
 
 
 class TestCrossCheck:

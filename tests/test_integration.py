@@ -5,16 +5,17 @@ accounting is internally consistent."""
 import pytest
 
 from repro.analysis import run_vm
+from repro.vm.config import VMConfig
 from repro.workloads import all_workloads
 
 WORKLOADS = sorted(all_workloads())
-CONFIGS = [
-    ("interp", "monitor-cache", True),
-    ("jit", "monitor-cache", True),
-    ("jit", "thin-lock", True),
-    ("jit", "one-bit-lock", True),
-    ("jit", "monitor-cache", False),
-    (("counter", 3), "thin-lock", True),
+VARIANTS = [
+    VMConfig(strategy="interp"),
+    VMConfig(strategy="jit"),
+    VMConfig(strategy="jit", lock_manager="thin-lock"),
+    VMConfig(strategy="jit", lock_manager="one-bit-lock"),
+    VMConfig(strategy="jit", inline=False),
+    VMConfig(strategy="counter", threshold=3, lock_manager="thin-lock"),
 ]
 
 
@@ -22,9 +23,8 @@ CONFIGS = [
 def test_output_invariant_under_configuration(workload):
     """The architectural configuration must never change program output."""
     outputs = set()
-    for mode, lock, inline in CONFIGS:
-        result = run_vm(workload, scale="s0", mode=mode, lock_manager=lock,
-                        inline=inline, profile=False)
+    for config in VARIANTS:
+        result = run_vm(workload, scale="s0", mode=config, profile=False)
         outputs.add(tuple(result.stdout))
     assert len(outputs) == 1, f"{workload}: divergent outputs {outputs}"
 

@@ -19,13 +19,14 @@ from repro.analysis.parallel import (
     trace_jobs,
 )
 from repro.experiments.base import all_experiments, collect_jobs, jobs_for
+from repro.vm.config import CONFIGS
 
 
 class TestJobDescriptors:
     def test_constructors_and_equality(self):
-        assert trace_job("db") == Job("trace", "db", "s1", "jit")
+        assert trace_job("db") == Job("trace", "db", "s1", CONFIGS["jit"])
         assert run_job("db", "s0", "interp", profile=False) == Job(
-            "run", "db", "s0", "interp", (("profile", False),)
+            "run", "db", "s0", CONFIGS["interp"].replace(profile=False)
         )
         assert oracle_job("db").kind == "oracle"
 
@@ -49,7 +50,7 @@ class TestJobDescriptors:
 
     def test_jobs_are_spawn_safe(self):
         import pickle
-        job = run_job("db", "s0", ("counter", 4), profile=False)
+        job = run_job("db", "s0", "counter", threshold=4, profile=False)
         assert pickle.loads(pickle.dumps(job)) == job
 
 

@@ -10,15 +10,19 @@ close with a hypothesis property over the threshold space.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.runner import run_vm
 from repro.experiments.tiered import (
-    AGGRESSIVE,
     SCENARIOS,
     class_load_program,
+    guard_failures,
     lock_escape_program,
+    main as tiered_main,
     run_scenario,
 )
 from repro.isa import ProgramBuilder
@@ -28,9 +32,11 @@ from repro.vm import (
     JavaVM,
     TieredStrategy,
 )
+from repro.vm.config import CONFIGS
 from repro.vm.tiering import estimated_translate_cycles
 
-AGG = dict(AGGRESSIVE)
+#: The registry's hair-trigger ladder (tier-2 screen off).
+STRESS = CONFIGS["tiered_stress"]
 
 
 def _hot_loop_program(iters: int = 500) -> ProgramBuilder:
@@ -72,7 +78,7 @@ class TestPromotion:
         assert res.tiering["promotions_t1"] == 0
 
     def test_snapshot_records_strategy_and_transitions(self):
-        res = _run(_hot_loop_program(500), TieredStrategy(**AGG))
+        res = _run(_hot_loop_program(500), STRESS.make_strategy())
         assert res.strategy_config["name"] == "tiered"
         assert res.tiering["strategy"]["t2_screen"] is False
         assert any(
@@ -97,7 +103,7 @@ class TestOSR:
     def test_single_invocation_loop_is_osr_compiled(self):
         """main runs once, so only the backedge rung can promote it —
         and the running frame must hop into the compiled code."""
-        res = _run(_hot_loop_program(500), TieredStrategy(**AGG))
+        res = _run(_hot_loop_program(500), STRESS.make_strategy())
         assert res.stdout == [str(sum(range(500)))]
         assert res.tiering["promotions_t1"] >= 1
         assert res.tiering["osr_entries"] >= 1
@@ -105,14 +111,14 @@ class TestOSR:
 
     def test_osr_preserves_observables_vs_interp(self):
         base = _run(_hot_loop_program(500), InterpretOnly())
-        osr = _run(_hot_loop_program(500), TieredStrategy(**AGG))
+        osr = _run(_hot_loop_program(500), STRESS.make_strategy())
         assert osr.stdout == base.stdout
         assert osr.bytecodes_executed == base.bytecodes_executed
         assert osr.heap == base.heap
 
     def test_osr_entry_charged_to_compiled_execution(self):
         """After OSR the remaining iterations run as compiled code."""
-        res = _run(_hot_loop_program(500), TieredStrategy(**AGG))
+        res = _run(_hot_loop_program(500), STRESS.make_strategy())
         profile = res.profiles["Main.main"]
         assert profile["osr_entries"] >= 1
         assert profile["compiled_cycles"] > 0
@@ -187,7 +193,7 @@ def test_workload_observables_identical_across_engines(workload):
     normalized sync effects must be indistinguishable."""
     interp = run_vm(workload, scale="s0", mode="interp")
     jit = run_vm(workload, scale="s0", mode="jit")
-    tiered = run_vm(workload, scale="s0", mode=("tiered", 2, 3, 4))
+    tiered = run_vm(workload, scale="s0", mode="tiered_eager")
     for res in (jit, tiered):
         assert res.stdout == interp.stdout
         assert res.bytecodes_executed == interp.bytecodes_executed
@@ -225,11 +231,31 @@ def _check_transition_wellformedness(snapshot):
 def test_property_ladder_wellformed(t1, t2_extra, osr, ratio, scenario):
     """Any threshold assignment: observables match the interpreter and
     the transition log forms legal promote/OSR/deopt cycles."""
-    strategy = TieredStrategy(
-        t1_invocations=t1, t2_invocations=t1 + t2_extra,
-        osr_backedges=osr, t2_backedges=8 * osr,
-        compile_ratio=ratio, t2_screen=False)
+    config = STRESS.replace(t1=t1, t2=t1 + t2_extra, osr=osr,
+                            t2_backedges=8 * osr, compile_ratio=ratio)
     builder, expected = SCENARIOS[scenario]
-    res = run_scenario(scenario, strategy=strategy)
+    res = run_scenario(scenario, config)
     assert res.stdout == expected
     _check_transition_wellformedness(res.tiering)
+
+
+class TestBenchGuards:
+    """The tiered emitter's guards live in code, next to the record."""
+
+    RECORD = Path(__file__).resolve().parents[1] / "BENCH_tiered.json"
+
+    def test_committed_record_passes_every_guard(self):
+        assert tiered_main(["--check", str(self.RECORD)]) == 0
+
+    def test_failed_guards_are_named_and_exit_nonzero(self, tmp_path):
+        data = json.loads(self.RECORD.read_text())
+        data["totals"]["tiered"] = data["totals"]["jit"]
+        data["static_concurrency"]["static_on"]["lock_escape_deopts"] = 1
+        assert guard_failures(data) == [
+            "guard tiered_beats_jit FAILED",
+            "guard static_avoids_deopt FAILED",
+            "guard static_on_no_deopt FAILED",
+        ]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert tiered_main(["--check", str(path)]) == 1
